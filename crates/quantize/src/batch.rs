@@ -30,10 +30,10 @@
 //!
 //! ## Tiled (and optionally parallel) conv execution
 //!
-//! Conv segments execute in **image-group tiles** ([`tile_images`]): fill
+//! Conv segments execute in **image-group tiles** (`tile_images`): fill
 //! one tile's pair columns into a tile-local buffer, MAC it into its lane
 //! window of the batch-planar output, repeat. The per-tile column working
-//! set is capped at [`TILE_BYTES`] regardless of batch size — growing the
+//! set is capped at `TILE_BYTES` regardless of batch size — growing the
 //! batch without tiling grew every pair row's stride *and* put the whole
 //! batch's columns between fill and MAC, which is why batch 12 ran slower
 //! per image than batch 3 before this existed (DESIGN.md §"Intra-batch
@@ -41,7 +41,7 @@
 //!
 //! With [`BatchScratch::set_pool`], tiles additionally become the unit of
 //! **intra-batch parallelism**: pool threads steal tiles from a shared
-//! cursor and work out of per-thread arenas ([`ParArena`]), so nothing
+//! cursor and work out of per-thread arenas (`ParArena`), so nothing
 //! allocates or shares inside a segment. Pool segments chunk planes, Add
 //! segments chunk elements/channels; GAP, dense and logits tails stay
 //! serial (per-image small). Each output element's accumulation walks the
@@ -75,20 +75,21 @@
 //! `tests/batched_forward.rs` and `tests/prefix_forward.rs`.
 
 use crate::compiled::{
-    conv_forward_pairs_window, fill_centered_t, gap_forward_planar, planar_to_nhwc_pitched,
-    pool_forward_planar, simd_level, CompiledConv, CompiledMasks,
+    conv_forward_pairs_window, gap_forward_planar, planar_to_nhwc_pitched, pool_forward_planar,
+    simd_level, CompiledConv, CompiledMasks,
 };
 use crate::forward::{argmax_i8, dense_forward, gap_forward_nhwc, pool_forward};
 use crate::plan::{
     AddSegment, ConvSegment, DenseSegment, ExecBackend, ExecPlan, GapSegment, LogitsSegment,
-    PoolSegment,
+    PoolSegment, Segment,
 };
 use crate::pool::BatchPool;
 use crate::qmodel::{QAdd, QConv, QuantModel};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tinytensor::im2col::{fill_im2col_pairs_planar_pitched, interleave_pair_rows};
+use tinytensor::im2col::{fill_im2col_pairs_nhwc, fill_im2col_pairs_planar_pitched};
+use tinytensor::quant::RequantMultiplier;
 
 /// Column working-set budget of one image-group tile (i16 pair-column
 /// bytes). A quarter of the builder Xeon's 1 MB L2: the tile's columns,
@@ -141,8 +142,8 @@ pub(crate) fn tile_images(
 /// from the plan's extents ([`BatchScratch::set_pool`]) so nothing
 /// allocates or shares inside a segment.
 struct ParArena {
-    /// NHWC staging rows for one image's column fill.
-    rows: Vec<i16>,
+    /// Channel planes of one NHWC image ahead of its column fill.
+    planes: Vec<i8>,
     /// Tile-local pair-interleaved columns.
     pcolt: Vec<i16>,
     /// Lane accumulators for one tile.
@@ -187,8 +188,8 @@ pub struct BatchScratch {
     /// Ping-pong activation buffers, `max_batch ×` the largest activation.
     act_a: Vec<i8>,
     act_b: Vec<i8>,
-    /// Natural transposed-row staging for one image's column fill.
-    rows: Vec<i16>,
+    /// Channel planes of one NHWC image ahead of its column fill.
+    planes: Vec<i8>,
     /// Batched pair-interleaved columns (`max_batch ×` the largest layer).
     pcolt: Vec<i16>,
     /// Lane accumulators.
@@ -202,6 +203,8 @@ pub struct BatchScratch {
     /// dispatch through the same kernel; built at construction — this is
     /// what binds the scratch to its model).
     dense_streams: Vec<CompiledConv>,
+    /// Residual join tables per stash slot ([`AddJoin::for_plan`]).
+    add_joins: Vec<AddJoin>,
     /// Intra-batch thread pool (opt-in via [`BatchScratch::set_pool`];
     /// `None` = single-thread execution, the default).
     pool: Option<Arc<BatchPool>>,
@@ -218,9 +221,10 @@ impl BatchScratch {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         let plan = ExecPlan::lower(model);
         let max_act = plan.max_act();
-        let max_rows = plan.max_cols();
         let max_pcolt = plan.max_pair_colt();
         let max_positions = plan.max_positions();
+        let planes = vec![0; plan.max_nhwc_conv_in()];
+        let add_joins = AddJoin::for_plan(model, &plan);
         let stash: Vec<Vec<i8>> = plan
             .stash_lens()
             .iter()
@@ -231,12 +235,13 @@ impl BatchScratch {
             plan,
             act_a: vec![0; max_batch * max_act],
             act_b: vec![0; max_batch * max_act],
-            rows: vec![0; max_rows],
+            planes,
             pcolt: vec![0; max_batch * max_pcolt],
             acc: vec![0; (max_batch * max_positions).max(1)],
             nhwc: vec![0; max_act],
             stash,
             dense_streams: crate::compiled::dense_streams(model),
+            add_joins,
             pool: None,
             arenas: Vec::new(),
         }
@@ -251,7 +256,7 @@ impl BatchScratch {
         if let Some(p) = &pool {
             let threads = p.threads();
             if threads > 1 {
-                let rows_len = self.plan.max_cols();
+                let planes_len = self.plan.max_nhwc_conv_in();
                 let (mut pcolt_len, mut acc_len) = (0usize, 1usize);
                 for k in 0..self.plan.n_convs() {
                     let seg = self.plan.conv_segment(k);
@@ -265,7 +270,7 @@ impl BatchScratch {
                 self.arenas = (0..threads)
                     .map(|_| {
                         ArenaCell(UnsafeCell::new(ParArena {
-                            rows: vec![0; rows_len],
+                            planes: vec![0; planes_len],
                             pcolt: vec![0; pcolt_len],
                             acc: vec![0; acc_len],
                         }))
@@ -295,7 +300,7 @@ impl BatchScratch {
     pub fn resident_bytes(&self) -> u64 {
         (self.act_a.len()
             + self.act_b.len()
-            + 2 * self.rows.len()
+            + self.planes.len()
             + 2 * self.pcolt.len()
             + 4 * self.acc.len()
             + self.nhwc.len()
@@ -305,13 +310,14 @@ impl BatchScratch {
                 .iter()
                 .map(CompiledConv::resident_bytes)
                 .sum::<u64>()
+            + (self.add_joins.len() * std::mem::size_of::<AddJoin>()) as u64
             + self
                 .arenas
                 .iter()
                 .map(|a| {
                     // SAFETY: `&self` — no pool dispatch is live.
                     let a = unsafe { &*a.0.get() };
-                    (2 * a.rows.len() + 2 * a.pcolt.len() + 4 * a.acc.len()) as u64
+                    (a.planes.len() + 2 * a.pcolt.len() + 4 * a.acc.len()) as u64
                 })
                 .sum::<u64>()
     }
@@ -396,6 +402,63 @@ impl BatchCheckpoint {
     }
 }
 
+/// A residual Add's output stage as two 256-entry tables. Each branch of
+/// [`QAdd::apply`] requantizes a single i8, so its rescaled value depends
+/// on that byte alone; the join looks both up and sums them with the
+/// output zero point in the same i64 as
+/// [`tinytensor::quant::add_requant_i8`], then clamps to the same
+/// fused-ReLU bounds — bit-exact with [`QAdd::apply`] for every operand
+/// pair, without two gemmlowp requantizations per element.
+#[derive(Clone)]
+pub(crate) struct AddJoin {
+    /// Rescaled skip-branch value of each operand byte (`as u8` index).
+    lhs: [i32; 256],
+    /// Rescaled block-branch value of each operand byte.
+    rhs: [i32; 256],
+    out_zp: i64,
+    /// Fused-ReLU clamp bounds.
+    lo: i64,
+    hi: i64,
+}
+
+impl AddJoin {
+    pub(crate) fn new(a: &QAdd) -> Self {
+        let table = |zp: i32, m: RequantMultiplier| -> [i32; 256] {
+            std::array::from_fn(|i| m.apply(i as u8 as i8 as i32 - zp))
+        };
+        let (lo, hi) = a.act_bounds();
+        Self {
+            lhs: table(a.lhs_qp.zero_point, a.lhs_mult),
+            rhs: table(a.rhs_qp.zero_point, a.rhs_mult),
+            out_zp: a.out_qp.zero_point as i64,
+            lo: lo as i64,
+            hi: hi as i64,
+        }
+    }
+
+    /// The joins of `plan`'s Adds, indexed by stash slot: every slot feeds
+    /// exactly one Add (LIFO pairing, checked at lowering and by the plan
+    /// verifier), so the slot names its join. Built once per scratch.
+    pub(crate) fn for_plan(model: &QuantModel, plan: &ExecPlan) -> Vec<AddJoin> {
+        let mut joins = vec![None; plan.n_stash_slots()];
+        for seg in plan.segments() {
+            if let Segment::Add(s) = seg {
+                joins[s.slot] = Some(AddJoin::new(model.add_at(s.layer_idx)));
+            }
+        }
+        joins
+            .into_iter()
+            .map(|j| j.expect("every stash slot feeds an Add"))
+            .collect()
+    }
+
+    #[inline(always)]
+    pub(crate) fn apply(&self, lhs: i8, rhs: i8) -> i8 {
+        let v = self.lhs[lhs as u8 as usize] as i64 + self.rhs[rhs as u8 as usize] as i64;
+        (v + self.out_zp).clamp(self.lo, self.hi) as i8
+    }
+}
+
 /// Residual join over a batch — the single join implementation every
 /// compiled backend shares (`batch = 1` is the per-image case, where the
 /// plane pitch collapses to `pos`). Same-layout operands add elementwise
@@ -404,7 +467,7 @@ impl BatchCheckpoint {
 /// mismatch index-maps the stash — per-image NHWC element `(b, p·ch + c)`
 /// against batch-planar element `c·(B·pos) + b·pos + p`.
 pub(crate) fn add_join_batched(
-    a: &QAdd,
+    a: &AddJoin,
     seg: &AddSegment,
     batch: usize,
     lhs: &[i8],
@@ -452,7 +515,7 @@ pub(crate) fn add_join_batched(
 /// Per-element arithmetic is untouched, so the result is bit-exact with
 /// the serial join.
 fn add_join_batched_par(
-    a: &QAdd,
+    a: &AddJoin,
     seg: &AddSegment,
     batch: usize,
     lhs: &[i8],
@@ -520,57 +583,14 @@ fn add_join_batched_par(
     }
 }
 
-/// Fill conv `c`'s **full-batch** pair-interleaved columns from a batched
-/// source activation buffer (`planar_in` per the plan's fill strategy) —
-/// the τ-independent front half of a checkpoint segment, used by
-/// [`QuantModel::batch_fill_conv_cols`] so trie siblings share one fill.
-/// (In-segment fills go through the tile-local [`fill_tile_cols`]
-/// instead.)
-fn fill_conv_cols(
-    c: &QConv,
-    batch: usize,
-    src: &[i8],
-    cur_len: usize,
-    planar_in: bool,
-    rows: &mut [i16],
-    pcolt: &mut [i16],
-) {
-    let positions = c.geom.out_positions();
-    let patch = c.geom.patch_len();
-    let lanes = batch * positions;
-    for b in 0..batch {
-        if planar_in {
-            // Image b's channel planes sit batch planes apart starting
-            // at plane b; fused fill writes pair rows direct.
-            let in_pos = c.geom.in_h * c.geom.in_w;
-            let ch = c.geom.in_c;
-            let plane_pitch = batch * in_pos;
-            let view = &src[b * in_pos..(ch - 1) * plane_pitch + b * in_pos + in_pos];
-            let zp = c.in_qp.zero_point;
-            let pad = c.centered_pad();
-            fill_im2col_pairs_planar_pitched(
-                view,
-                &c.geom,
-                zp as i16,
-                pad,
-                pcolt,
-                lanes,
-                b * positions,
-                plane_pitch,
-            );
-        } else {
-            let rows = &mut rows[..positions * patch];
-            fill_centered_t(c, &src[b * cur_len..(b + 1) * cur_len], rows);
-            interleave_pair_rows(rows, positions, patch, pcolt, lanes, b * positions);
-        }
-    }
-}
-
 /// Fill the pair-interleaved columns of images `[b_lo, b_hi)` of a conv
-/// segment into a **tile-local** buffer (`(b_hi - b_lo) · positions`
-/// lanes). Reads stay full-batch pitched (the source layout is fixed);
+/// segment into a buffer of `(b_hi - b_lo) · positions` lanes: a tile of
+/// the in-segment fill/MAC interleave, or (`[0, batch)`) the full-batch
+/// columns [`QuantModel::batch_fill_conv_cols`] shares across trie
+/// siblings. Reads stay full-batch pitched (the source layout is fixed);
 /// only the destination columns are tile-local, which is what keeps the
-/// MAC working set batch-size-independent.
+/// MAC working set batch-size-independent. An NHWC source is copied into
+/// `planes` one image at a time, so both layouts take the fused fill.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn fill_tile_cols(
@@ -581,15 +601,17 @@ fn fill_tile_cols(
     cur_len: usize,
     b_lo: usize,
     b_hi: usize,
-    rows: &mut [i16],
+    planes: &mut [i8],
     pcolt: &mut [i16],
 ) {
     let positions = seg.positions;
     let tile_lanes = (b_hi - b_lo) * positions;
+    let (zp, pad) = (c.in_qp.zero_point as i16, c.centered_pad());
     for b in b_lo..b_hi {
+        let lane0 = (b - b_lo) * positions;
         if seg.planar_in {
             // Image b's channel planes sit batch planes apart starting at
-            // plane b; fused fill writes pair rows direct.
+            // plane b.
             let in_pos = seg.geom.in_h * seg.geom.in_w;
             let ch = seg.geom.in_c;
             let plane_pitch = batch * in_pos;
@@ -597,23 +619,23 @@ fn fill_tile_cols(
             fill_im2col_pairs_planar_pitched(
                 view,
                 &c.geom,
-                c.in_qp.zero_point as i16,
-                c.centered_pad(),
+                zp,
+                pad,
                 pcolt,
                 tile_lanes,
-                (b - b_lo) * positions,
+                lane0,
                 plane_pitch,
             );
         } else {
-            let rows = &mut rows[..positions * seg.patch];
-            fill_centered_t(c, &src[b * cur_len..(b + 1) * cur_len], rows);
-            interleave_pair_rows(
-                rows,
-                positions,
-                seg.patch,
+            fill_im2col_pairs_nhwc(
+                &src[b * cur_len..(b + 1) * cur_len],
+                &c.geom,
+                zp,
+                pad,
                 pcolt,
                 tile_lanes,
-                (b - b_lo) * positions,
+                lane0,
+                planes,
             );
         }
     }
@@ -648,7 +670,7 @@ fn conv_exec_tiled(
     cur_len: usize,
     prefilled: Option<&[i16]>,
     par: Option<(&BatchPool, &[ArenaCell])>,
-    rows: &mut [i16],
+    planes: &mut [i8],
     pcolt: &mut [i16],
     acc: &mut [i32],
     dst: &mut [i8],
@@ -707,7 +729,7 @@ fn conv_exec_tiled(
                             cur_len,
                             b_lo,
                             b_hi,
-                            &mut arena.rows,
+                            &mut arena.planes,
                             &mut arena.pcolt[..n_t],
                         );
                         // SAFETY: disjoint tile windows, per the argument
@@ -767,7 +789,7 @@ fn conv_exec_tiled(
                     cur_len,
                     b_lo,
                     b_hi,
-                    rows,
+                    planes,
                     &mut pcolt[..n_t],
                 );
                 // SAFETY: sequential tiles, disjoint lane windows, sole
@@ -813,9 +835,10 @@ struct BatchBackend<'r, 'm> {
     streams: &'r [Option<&'r CompiledConv>],
     conv0_pcolt: Option<&'r [i16]>,
     dense_streams: &'r [CompiledConv],
+    add_joins: &'r [AddJoin],
     act_a: &'r mut Vec<i8>,
     act_b: &'r mut Vec<i8>,
-    rows: &'r mut Vec<i16>,
+    planes: &'r mut Vec<i8>,
     pcolt: &'r mut Vec<i16>,
     acc: &'r mut Vec<i32>,
     nhwc: &'r mut Vec<i8>,
@@ -860,7 +883,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
             self.cur_len,
             prefilled,
             self.par,
-            self.rows,
+            self.planes,
             self.pcolt,
             self.acc,
             &mut dst[..batch * seg.out_len],
@@ -1011,7 +1034,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
 
     #[inline(never)]
     fn add(&mut self, seg: &AddSegment) {
-        let a = self.model.add_at(seg.layer_idx);
+        let a = &self.add_joins[seg.slot];
         let batch = self.batch;
         let n = batch * seg.len;
         let (src, dst) = if self.in_a {
@@ -1089,6 +1112,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
 /// kernels on either side.
 struct CkptBackend<'r, 'm> {
     model: &'m QuantModel,
+    add_joins: &'r [AddJoin],
     out: &'r mut BatchCheckpoint,
     /// Staging buffer (the scratch's `act_a`).
     stage: &'r mut Vec<i8>,
@@ -1196,7 +1220,7 @@ impl ExecBackend for CkptBackend<'_, '_> {
 
     #[inline(never)]
     fn add(&mut self, seg: &AddSegment) {
-        let a = self.model.add_at(seg.layer_idx);
+        let a = &self.add_joins[seg.slot];
         let batch = self.out.batch;
         let n = batch * seg.len;
         add_join_batched(
@@ -1264,13 +1288,20 @@ impl QuantModel {
         let in_len = self.input_shape.item_len();
         assert_eq!(qinputs.len(), batch * in_len, "input length mismatch");
         let positions = c.geom.out_positions();
-        let patch = c.patch_len();
         let lanes = batch * positions;
-        let mut rows = vec![0i16; positions * patch];
-        let mut pcolt = vec![0i16; patch.div_ceil(2) * 2 * lanes];
+        let mut planes = vec![0i8; in_len];
+        let mut pcolt = vec![0i16; c.patch_len().div_ceil(2) * 2 * lanes];
         for b in 0..batch {
-            fill_centered_t(c, &qinputs[b * in_len..(b + 1) * in_len], &mut rows);
-            interleave_pair_rows(&rows, positions, patch, &mut pcolt, lanes, b * positions);
+            fill_im2col_pairs_nhwc(
+                &qinputs[b * in_len..(b + 1) * in_len],
+                &c.geom,
+                c.in_qp.zero_point as i16,
+                c.centered_pad(),
+                &mut pcolt,
+                lanes,
+                b * positions,
+                &mut planes,
+            );
         }
         Some(pcolt)
     }
@@ -1371,12 +1402,13 @@ impl QuantModel {
             plan,
             act_a,
             act_b,
-            rows,
+            planes,
             pcolt,
             acc,
             nhwc,
             stash,
             dense_streams,
+            add_joins,
             pool,
             arenas,
             ..
@@ -1391,9 +1423,10 @@ impl QuantModel {
             streams,
             conv0_pcolt,
             dense_streams,
+            add_joins,
             act_a,
             act_b,
-            rows,
+            planes,
             pcolt,
             acc,
             nhwc,
@@ -1438,10 +1471,15 @@ impl QuantModel {
             st.clear();
         }
         let BatchScratch {
-            plan, act_a, nhwc, ..
+            plan,
+            act_a,
+            nhwc,
+            add_joins,
+            ..
         } = s;
         let mut backend = CkptBackend {
             model: self,
+            add_joins,
             out,
             stage: act_a,
             nhwc,
@@ -1474,18 +1512,17 @@ impl QuantModel {
         assert!(!ckpt.complete, "checkpoint already past the final layer");
         let seg = s.plan.conv_segment(ckpt.conv_ordinal);
         let c = self.conv_at(seg.layer_idx);
-        let lanes = ckpt.batch * seg.positions;
-        let n = seg.pair_rows * 2 * lanes;
-        let planar_in = seg.planar_in;
-        out.resize(n, 0);
-        fill_conv_cols(
+        out.resize(seg.pair_rows * 2 * ckpt.batch * seg.positions, 0);
+        fill_tile_cols(
             c,
+            seg,
             ckpt.batch,
             &ckpt.act,
             ckpt.cur_len,
-            planar_in,
-            &mut s.rows,
-            &mut out[..],
+            0,
+            ckpt.batch,
+            &mut s.planes,
+            out,
         );
     }
 
@@ -1537,7 +1574,7 @@ impl QuantModel {
             // parallel) exactly like the monolithic driver; the sequential
             // cut is *at* the checkpoint boundary, after the join below.
             let BatchScratch {
-                rows,
+                planes,
                 pcolt,
                 acc,
                 dense_streams,
@@ -1559,7 +1596,7 @@ impl QuantModel {
                 ckpt.cur_len,
                 prefilled,
                 par,
-                rows,
+                planes,
                 pcolt,
                 acc,
                 &mut out.act[..],
@@ -1575,10 +1612,15 @@ impl QuantModel {
             out.stashes[slot].extend_from_slice(&out.act[..batch * seg.out_len]);
         }
         let BatchScratch {
-            plan, act_a, nhwc, ..
+            plan,
+            act_a,
+            nhwc,
+            add_joins,
+            ..
         } = s;
         let mut backend = CkptBackend {
             model: self,
+            add_joins,
             out,
             stage: act_a,
             nhwc,
@@ -1866,6 +1908,89 @@ mod tests {
             let want = q.forward_quantized(&flat[b * in_len..(b + 1) * in_len], None);
             let out_len = want.len();
             assert_eq!(&got[b * out_len..(b + 1) * out_len], &want[..], "image {b}");
+        }
+    }
+
+    #[test]
+    fn join_tables_match_qadd_apply_exhaustively() {
+        use tinytensor::quant::QuantParams;
+        let qp = |zero_point| QuantParams {
+            scale: 1.0,
+            zero_point,
+        };
+        let m = |multiplier, shift| RequantMultiplier { multiplier, shift };
+        // (lhs zp, lhs mult, rhs zp, rhs mult, out zp, relu): shifts of
+        // both signs (24 saturates the pre-shift), a zero multiplier, ReLU
+        // on and off, zero points at both i8 extremes, and two saturated
+        // branches whose sum overflows i32.
+        let cases = [
+            (-128, m(1 << 30, 1), 127, m(1_500_000_000, -3), 0, false),
+            (0, m(2_000_000_000, 24), 0, m(2_000_000_000, 24), 0, true),
+            (127, m(0, 0), -128, m(1_800_000_000, 0), -128, true),
+            (5, m(1_073_741_824, -1), -7, m(2_000_000_000, 2), 127, true),
+            (0, m(1_200_000_000, 24), 0, m(1_200_000_000, -9), -20, false),
+            (-128, m(1_900_000_000, -31), 127, m(0, 0), 127, false),
+            (127, m(1 << 30, 5), 127, m(1_100_000_000, -2), -128, false),
+        ];
+        // All 65536 operand pairs: batch 2 × 128 positions × 256 channels,
+        // where the lhs value is the channel and the rhs value the lane.
+        let (batch, pos, ch) = (2usize, 128usize, 256usize);
+        let (len, plane) = (pos * ch, batch * pos);
+        let n = batch * len;
+        let nhwc = |b: usize, p: usize, c: usize| b * len + p * ch + c;
+        let planar = |b: usize, p: usize, c: usize| c * plane + b * pos + p;
+        let pool = BatchPool::new(2);
+        for (k, &(lzp, lm, rzp, rm, ozp, relu)) in cases.iter().enumerate() {
+            let a = QAdd {
+                len,
+                lhs_qp: qp(lzp),
+                rhs_qp: qp(rzp),
+                out_qp: qp(ozp),
+                lhs_mult: lm,
+                rhs_mult: rm,
+                relu,
+            };
+            let join = AddJoin::new(&a);
+            for (lhs_planar, rhs_planar) in [(false, false), (false, true), (true, false)] {
+                let seg = AddSegment {
+                    layer_idx: 0,
+                    slot: 0,
+                    len,
+                    lhs_planar,
+                    rhs_planar,
+                    positions: pos,
+                    ch,
+                    stash_slots: Vec::new(),
+                };
+                let (mut lhs, mut rhs, mut want) = (vec![0i8; n], vec![0i8; n], vec![0i8; n]);
+                for b in 0..batch {
+                    for p in 0..pos {
+                        for c in 0..ch {
+                            let (l, r) = (c as u8 as i8, (b * pos + p) as u8 as i8);
+                            let li = if lhs_planar {
+                                planar(b, p, c)
+                            } else {
+                                nhwc(b, p, c)
+                            };
+                            let ri = if rhs_planar {
+                                planar(b, p, c)
+                            } else {
+                                nhwc(b, p, c)
+                            };
+                            lhs[li] = l;
+                            rhs[ri] = r;
+                            want[ri] = a.apply(l, r);
+                        }
+                    }
+                }
+                let mut got = vec![0i8; n];
+                add_join_batched(&join, &seg, batch, &lhs, &rhs, &mut got);
+                let layout = (lhs_planar, rhs_planar);
+                assert_eq!(got, want, "case {k}, layouts {layout:?}, serial");
+                let mut got = vec![0i8; n];
+                add_join_batched_par(&join, &seg, batch, &lhs, &rhs, &mut got, &pool);
+                assert_eq!(got, want, "case {k}, layouts {layout:?}, 2 threads");
+            }
         }
     }
 

@@ -47,6 +47,7 @@
 //! workspace proptests over random models, τ grids and images
 //! (`tests/compiled_masks.rs`, `tests/batched_forward.rs`).
 
+use crate::batch::AddJoin;
 use crate::forward::{
     argmax_i8, dense_forward, gap_forward_nhwc, pool_forward, ForwardScratch, SkipMaskSet,
 };
@@ -56,9 +57,7 @@ use crate::plan::{
 use crate::qmodel::{QConv, QLayer, QuantModel};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-use tinytensor::im2col::{
-    fill_im2col_centered_t, fill_im2col_pairs_planar_pitched, interleave_pair_rows,
-};
+use tinytensor::im2col::{fill_im2col_pairs_nhwc, fill_im2col_pairs_planar_pitched};
 use tinytensor::quant::avg_round;
 
 /// One conv layer's mask compiled into compact retained weight-pair streams.
@@ -333,11 +332,12 @@ pub(crate) fn available_simd_levels() -> Vec<SimdLevel> {
     levels
 }
 
-/// Kernel micro-optimization toggles, read once per process. Defaults are
-/// the adopted (A/B-winning) configuration; the environment overrides
-/// (`ATAMAN_KERNEL_PREFETCH=0/1`, `ATAMAN_KERNEL_SPLIT_CHAINS=0/1`) exist
-/// so `batch_micro` can interleave on/off runs in one binary on the noisy
-/// single-CPU builder — every toggle is bit-exact, only speed differs.
+/// Kernel micro-optimization toggles. Defaults are the adopted
+/// (A/B-winning) configuration; the environment overrides
+/// (`ATAMAN_KERNEL_PREFETCH=0/1`, `ATAMAN_KERNEL_SPLIT_CHAINS=0/1`) select
+/// the other arm of an A/B. They are read once per process (`OnceLock`),
+/// so one process runs one arm: an A/B alternates whole processes, never
+/// arms inside one binary. Every toggle is bit-exact, only speed differs.
 #[cfg(target_arch = "x86_64")]
 pub(crate) struct KernelTuning {
     /// Software-prefetch the next stream entries' pair rows during MAC
@@ -856,18 +856,7 @@ impl QuantModel {
     ///
     /// Returns `None` when the model does not start with a convolution.
     pub fn conv0_pair_cols(&self, qinput: &[i8]) -> Option<Vec<i16>> {
-        match self.layers.first() {
-            Some(QLayer::Conv(c)) => {
-                let positions = c.geom.out_positions();
-                let patch = c.patch_len();
-                let mut rows = vec![0i16; positions * patch];
-                fill_centered_t(c, qinput, &mut rows);
-                let mut pcolt = vec![0i16; patch.div_ceil(2) * 2 * positions];
-                interleave_pair_rows(&rows, positions, patch, &mut pcolt, positions, 0);
-                Some(pcolt)
-            }
-            _ => None,
-        }
+        self.conv0_pair_cols_batch(qinput, 1)
     }
 
     /// Forward pass with compiled masks, reusing caller scratch and an
@@ -912,12 +901,13 @@ impl QuantModel {
             plan,
             act_a,
             act_b,
-            colt,
+            planes,
             pcolt,
             acc,
             nhwc,
             stash,
             dense_streams,
+            add_joins,
             ..
         } = s;
         let mut backend = CompiledBackend {
@@ -925,9 +915,10 @@ impl QuantModel {
             masks,
             conv0_pcolt,
             dense_streams,
+            add_joins,
             act_a,
             act_b,
-            colt,
+            planes,
             pcolt,
             acc,
             nhwc,
@@ -974,9 +965,10 @@ struct CompiledBackend<'r, 'm> {
     masks: Option<&'r CompiledMasks>,
     conv0_pcolt: Option<&'r [i16]>,
     dense_streams: &'r [CompiledConv],
+    add_joins: &'r [AddJoin],
     act_a: &'r mut Vec<i8>,
     act_b: &'r mut Vec<i8>,
-    colt: &'r mut Vec<i16>,
+    planes: &'r mut Vec<i8>,
     pcolt: &'r mut Vec<i16>,
     acc: &'r mut Vec<i32>,
     nhwc: &'r mut Vec<i8>,
@@ -1012,16 +1004,15 @@ impl ExecBackend for CompiledBackend<'_, '_> {
                 cached
             }
             _ => {
+                // Fused fill straight into pair rows; an NHWC source is
+                // first copied into channel planes.
+                let (zp, pad) = (c.in_qp.zero_point as i16, c.centered_pad());
                 if seg.planar_in {
-                    // Planar source: fused fill writes pair rows directly,
-                    // no natural-row staging.
                     let in_pos = seg.geom.in_h * seg.geom.in_w;
-                    let zp = c.in_qp.zero_point;
-                    let pad = c.centered_pad();
                     fill_im2col_pairs_planar_pitched(
                         &src[..self.cur_len],
                         &c.geom,
-                        zp as i16,
+                        zp,
                         pad,
                         &mut self.pcolt[..n],
                         positions,
@@ -1029,15 +1020,15 @@ impl ExecBackend for CompiledBackend<'_, '_> {
                         in_pos,
                     );
                 } else {
-                    let rows = &mut self.colt[..positions * seg.patch];
-                    fill_centered_t(c, &src[..self.cur_len], rows);
-                    interleave_pair_rows(
-                        rows,
-                        positions,
-                        seg.patch,
+                    fill_im2col_pairs_nhwc(
+                        &src[..self.cur_len],
+                        &c.geom,
+                        zp,
+                        pad,
                         &mut self.pcolt[..n],
                         positions,
                         0,
+                        self.planes,
                     );
                 }
                 &self.pcolt[..n]
@@ -1128,7 +1119,7 @@ impl ExecBackend for CompiledBackend<'_, '_> {
 
     #[inline(never)]
     fn add(&mut self, seg: &AddSegment) {
-        let a = self.model.add_at(seg.layer_idx);
+        let a = &self.add_joins[seg.slot];
         let (src, dst) = if self.in_a {
             (&self.act_a[..], &mut self.act_b[..])
         } else {
@@ -1193,13 +1184,6 @@ pub(crate) fn gap_forward_planar(
     }
 }
 
-/// Fill `rows` with `c`'s natural transposed centered columns for an NHWC
-/// `input` (staging ahead of the pair interleave).
-pub(crate) fn fill_centered_t(c: &QConv, input: &[i8], rows: &mut [i16]) {
-    let zp = c.in_qp.zero_point;
-    fill_im2col_centered_t(input, &c.geom, zp as i16, c.centered_pad(), rows);
-}
-
 /// 2×2/2 max-pool over planar activations — contiguous reads and writes
 /// per channel (layout change only: max is order- and layout-invariant, so
 /// results equal the NHWC reference pool). Also serves batch-major
@@ -1261,6 +1245,7 @@ mod tests {
     use cifar10sim::DatasetConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tinytensor::im2col::{fill_im2col_centered_t, interleave_pair_rows};
 
     fn quantized_micro(seed: u64) -> (QuantModel, cifar10sim::SyntheticCifar) {
         let data = cifar10sim::generate(DatasetConfig::tiny(seed));
@@ -1338,7 +1323,13 @@ mod tests {
             let pair_rows = c0.patch_len().div_ceil(2);
             // Re-lay the columns at the narrower lane count.
             let mut rows = vec![0i16; positions * c0.patch_len()];
-            fill_centered_t(c0, &qin, &mut rows);
+            fill_im2col_centered_t(
+                &qin,
+                &c0.geom,
+                c0.in_qp.zero_point as i16,
+                c0.centered_pad(),
+                &mut rows,
+            );
             let mut narrow_rows = vec![0i16; lanes * c0.patch_len()];
             for i in 0..c0.patch_len() {
                 narrow_rows[i * lanes..(i + 1) * lanes]

@@ -74,9 +74,9 @@ pub struct ForwardScratch {
     pub(crate) act_b: Vec<i8>,
     pub(crate) cols: Vec<i8>,
     pub(crate) centered: Vec<i16>,
-    /// Natural transposed-row staging ahead of the pair interleave
+    /// Channel planes of an NHWC conv input ahead of its pair fill
     /// (compiled-mask kernels; lazily sized).
-    pub(crate) colt: Vec<i16>,
+    pub(crate) planes: Vec<i8>,
     /// Pair-interleaved columns (compiled-mask kernels; lazily sized).
     pub(crate) pcolt: Vec<i16>,
     /// Per-lane i32 accumulators (compiled-mask kernels; lazily sized).
@@ -92,6 +92,9 @@ pub struct ForwardScratch {
     /// path; built at construction — this is what binds the scratch to its
     /// model).
     pub(crate) dense_streams: Vec<crate::compiled::CompiledConv>,
+    /// Residual join tables per stash slot (compiled path; built at
+    /// construction, like the dense streams).
+    pub(crate) add_joins: Vec<crate::batch::AddJoin>,
 }
 
 impl ForwardScratch {
@@ -108,18 +111,20 @@ impl ForwardScratch {
         let max_act = plan.max_act();
         let max_cols = plan.max_cols();
         let stash = plan.stash_lens().iter().map(|&l| vec![0; l]).collect();
+        let add_joins = crate::batch::AddJoin::for_plan(model, &plan);
         Self {
             plan,
             act_a: vec![0; max_act],
             act_b: vec![0; max_act],
             cols: vec![0; max_cols],
             centered: vec![0; max_cols],
-            colt: Vec::new(),
+            planes: Vec::new(),
             pcolt: Vec::new(),
             acc: Vec::new(),
             nhwc: Vec::new(),
             stash,
             dense_streams: crate::compiled::dense_streams(model),
+            add_joins,
         }
     }
 
@@ -132,9 +137,9 @@ impl ForwardScratch {
             "ForwardScratch reused across models (it is bound to the model \
              it was constructed for)"
         );
-        let max_cols = self.plan.max_cols();
-        if self.colt.len() < max_cols {
-            self.colt.resize(max_cols, 0);
+        let max_planes = self.plan.max_nhwc_conv_in();
+        if self.planes.len() < max_planes {
+            self.planes.resize(max_planes, 0);
         }
         let max_pcolt = self.plan.max_pair_colt();
         if self.pcolt.len() < max_pcolt {

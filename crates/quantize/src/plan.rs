@@ -517,6 +517,17 @@ impl ExecPlan {
         self.max_act
     }
 
+    /// Largest NHWC conv input (elements per image): the channel planes an
+    /// NHWC pair fill copies one image into before filling.
+    pub(crate) fn max_nhwc_conv_in(&self) -> usize {
+        (0..self.n_convs())
+            .map(|k| self.conv_segment(k))
+            .filter(|s| !s.planar_in)
+            .map(|s| s.in_len)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Largest im2col column matrix (i8 elements) of any conv segment.
     pub fn max_cols(&self) -> usize {
         self.max_cols

@@ -144,6 +144,10 @@ pub fn fill_im2col_centered_t(
                     }
                     row[..ox_lo].fill(pad_centered);
                     row[ox_hi..].fill(pad_centered);
+                    if ox_lo == ox_hi {
+                        // The kernel column misses the input entirely.
+                        continue;
+                    }
                     let row_base = iy as usize * in_w * in_c;
                     let mut src = row_base + (ox_lo * sw + kx - geom.pad_w) * in_c + ci;
                     for v in &mut row[ox_lo..ox_hi] {
@@ -245,6 +249,9 @@ pub fn fill_im2col_centered_t_planar_pitched(
                     }
                     row[..ox_lo].fill(pad_centered);
                     row[ox_hi..].fill(pad_centered);
+                    if ox_lo == ox_hi {
+                        continue;
+                    }
                     let row_base = iy as usize * in_w;
                     let mut src = row_base + ox_lo * sw + kx - geom.pad_w;
                     if sw == 1 {
@@ -264,10 +271,114 @@ pub fn fill_im2col_centered_t_planar_pitched(
     }
 }
 
+/// Where the patch elements of one kernel position read when a conv has
+/// stride 1 and `ow == in_w`: output lane `p` of a valid row reads element
+/// `p + off` of the channel's plane, so a whole half pair row is one
+/// shifted copy of a plane plus pad patches.
+#[derive(Clone, Copy)]
+struct Shift {
+    off: isize,
+    /// Output rows whose kernel row lands inside the input.
+    oy_lo: usize,
+    oy_hi: usize,
+    /// Output columns whose kernel column lands inside the input.
+    ox_lo: usize,
+    ox_hi: usize,
+    /// Lanes the shifted copy covers: the valid rows, clamped so
+    /// `p + off` stays inside the plane (the clamped-off lanes of valid
+    /// rows are pad columns). Empty (`p_lo == p_hi`) when no row is valid.
+    p_lo: usize,
+    p_hi: usize,
+}
+
+impl Shift {
+    /// The centered value of lane `p` (a source element or padding).
+    #[inline(always)]
+    fn at(&self, src: &[i8], p: usize, zp: i16, pad_centered: i16) -> i16 {
+        if (self.p_lo..self.p_hi).contains(&p) {
+            src[(p as isize + self.off) as usize] as i16 - zp
+        } else {
+            pad_centered
+        }
+    }
+
+    /// Pad the left/right pad columns of every valid row in half `h` of
+    /// the interleaved pair row `dst`.
+    #[inline(always)]
+    fn pad_columns(&self, dst: &mut [i16], h: usize, ow: usize, pad_centered: i16) {
+        for oy in self.oy_lo..self.oy_hi {
+            for ox in (0..self.ox_lo).chain(self.ox_hi..ow) {
+                dst[2 * (oy * ow + ox) + h] = pad_centered;
+            }
+        }
+    }
+}
+
+/// `d[2k] = sa[k] − zp`, `d[2k + 1] = sb[k] − zp`: the interleaved copy
+/// at the heart of every shifted pair fill.
+#[inline(always)]
+fn interleave_centered(d: &mut [i16], sa: &[i8], sb: &[i8], zp: i16) {
+    for ((d2, &x), &y) in d.chunks_exact_mut(2).zip(sa).zip(sb) {
+        d2[0] = x as i16 - zp;
+        d2[1] = y as i16 - zp;
+    }
+}
+
+/// One pair row of the shifted fill whose halves do not share a kernel
+/// position: half `a` and, unless this is the odd tail's lone half
+/// (`b = None`, second lane 0), half `b`, each with its source plane.
+/// Interleaves over the lanes both shifted copies cover, then fills each
+/// half's remaining lanes and pad columns on its own.
+fn fill_split_pair(
+    dst: &mut [i16],
+    a: &Shift,
+    pa: &[i8],
+    b: Option<(Shift, &[i8])>,
+    zp: i16,
+    pad_centered: i16,
+    ow: usize,
+) {
+    let positions = dst.len() / 2;
+    let (lo, hi) = match b {
+        Some((b, _)) => (a.p_lo.max(b.p_lo), a.p_hi.min(b.p_hi)),
+        None => (a.p_lo, a.p_hi),
+    };
+    let (p_lo, p_hi) = if lo < hi { (lo, hi) } else { (0, 0) };
+    if p_lo < p_hi {
+        let src = |s: &Shift| (p_lo as isize + s.off) as usize..(p_hi as isize + s.off) as usize;
+        let sa = &pa[src(a)];
+        let d = &mut dst[2 * p_lo..2 * p_hi];
+        match b {
+            Some((b, pb)) => {
+                let sb = &pb[src(&b)];
+                interleave_centered(d, sa, sb, zp);
+            }
+            None => {
+                for (d2, &x) in d.chunks_exact_mut(2).zip(sa) {
+                    d2[0] = x as i16 - zp;
+                    d2[1] = 0;
+                }
+            }
+        }
+    }
+    for p in (0..p_lo).chain(p_hi..positions) {
+        dst[2 * p] = a.at(pa, p, zp, pad_centered);
+        dst[2 * p + 1] = match b {
+            Some((b, pb)) => b.at(pb, p, zp, pad_centered),
+            None => 0,
+        };
+    }
+    a.pad_columns(dst, 0, ow, pad_centered);
+    if let Some((b, _)) = b {
+        b.pad_columns(dst, 1, ow, pad_centered);
+    }
+}
+
 /// Fill **pair-interleaved** columns directly from a planar (channel-major)
-/// source — the fused fill of the compiled conv pipeline's inner layers,
-/// producing the layout of [`interleave_pair_rows`] without materializing
-/// natural rows first.
+/// source — the fused fill of the compiled conv pipeline, producing the
+/// layout of [`interleave_pair_rows`] without materializing natural rows
+/// first. NHWC sources go through [`fill_im2col_pairs_nhwc`], which copies
+/// the image into planes and calls this.
 ///
 /// `out` pair row `i` (pitch `2·lanes`, this image's lanes starting at
 /// `lane0`) receives patch elements `2i` and `2i+1` elementwise
@@ -277,14 +388,26 @@ pub fn fill_im2col_centered_t_planar_pitched(
 /// gets 0 (its weight slot is always 0).
 ///
 /// For stride-1 convolutions whose output width equals the input width
-/// (`kernel_w == 2·pad_w + 1` — every same-padding conv here) and whose
-/// pair spans two adjacent channels of one kernel position, a pair row is
-/// one contiguous shifted interleaved copy of two planes plus a handful of
-/// edge-column/edge-row pad patches, so the fill vectorizes over whole
-/// planes instead of per-output-row fragments. Other geometries take the
-/// general per-half path. Bit-exact with
-/// [`fill_im2col_centered_t_planar_pitched`] + [`interleave_pair_rows`]
-/// (cross-checked by tests).
+/// (`kernel_w == 2·pad_w + 1`, every same-padding conv), each half of a
+/// pair row is one contiguous shifted copy of a plane, so the fill
+/// vectorizes over whole planes instead of per-output-row fragments:
+/// * a pair whose halves are adjacent channels of one kernel position
+///   shares one shift — one interleaved copy, then whole-row and
+///   pad-column patches for both halves at once;
+/// * a pair whose halves sit at different kernel positions (the last
+///   channel of one, the first of the next), and the odd final half-pair,
+///   interleave two shifted copies (or one and zeros) over the lanes both
+///   cover, then patch each half's remaining lanes and pad columns alone.
+///
+/// Same-position pairs keep their own loop: routing them through the
+/// split-pair path (per-half edges and pad columns) made conv 1's fill
+/// about 1.4× slower in an interleaved micro-benchmark. The shifted walk
+/// tracks kernel positions incrementally instead of dividing per pair,
+/// which cut conv 2's (8×8 planes) fill by about a fifth in the same
+/// benchmark. Other geometries take the general per-half path.
+///
+/// Bit-exact with [`fill_im2col_centered_t_planar_pitched`] +
+/// [`interleave_pair_rows`] (cross-checked by tests).
 #[allow(clippy::too_many_arguments)]
 pub fn fill_im2col_pairs_planar_pitched(
     planar: &[i8],
@@ -314,7 +437,86 @@ pub fn fill_im2col_pairs_planar_pitched(
 
     let (in_c, in_w, in_h) = (geom.in_c, geom.in_w, geom.in_h);
     let (sw, sh) = (geom.stride_w, geom.stride_h);
-    // Valid ox range of a kernel column kx (sw == 1 fast path).
+    let plane_of = |ci: usize| &planar[ci * plane_pitch..ci * plane_pitch + plane];
+
+    if sw == 1 && sh == 1 && ow == in_w {
+        // The shift of kernel position `kpos` (row-major over (ky, kx)).
+        let shift = |kpos: usize| -> Shift {
+            let (ky, kx) = (kpos / geom.kernel_w, kpos % geom.kernel_w);
+            let (ph, pw) = (geom.pad_h as isize, geom.pad_w as isize);
+            let off = (ky as isize - ph) * in_w as isize + kx as isize - pw;
+            let oy_lo = geom.pad_h.saturating_sub(ky).min(oh);
+            // Saturating: a kernel row entirely below the input (ky ≥
+            // in_h + pad_h) has no valid output rows at all.
+            let oy_hi = (in_h + geom.pad_h).saturating_sub(ky).min(oh).max(oy_lo);
+            let ox_lo = (pw - kx as isize).clamp(0, ow as isize) as usize;
+            let ox_hi = (in_w as isize + pw - kx as isize).clamp(ox_lo as isize, ow as isize);
+            // Clamp both ends: with `oh > in_h` the valid rows can end
+            // before the plane does even for a negative offset.
+            let p_lo = (oy_lo * ow).max((-off).max(0) as usize);
+            let p_hi = (oy_hi * ow).min((plane as isize - off).max(0) as usize);
+            Shift {
+                off,
+                oy_lo,
+                oy_hi,
+                ox_lo,
+                ox_hi: ox_hi as usize,
+                p_lo,
+                p_hi: p_hi.max(p_lo),
+            }
+        };
+        // Pairs walk the kernel positions in order: track the first half's
+        // (position, channel) incrementally and recompute a position's
+        // shift only when the walk reaches it, which keeps divisions off
+        // the per-pair path.
+        let (mut kpos, mut ci) = (0usize, 0usize);
+        let mut a = shift(0);
+        for pair in 0..pair_rows {
+            let dst = &mut out
+                [pair * 2 * lanes + 2 * lane0..pair * 2 * lanes + 2 * lane0 + 2 * positions];
+            let pa = plane_of(ci);
+            let has_b = 2 * pair + 1 < patch;
+            if has_b && ci + 1 < in_c {
+                // Both halves share (ky, kx): one shifted interleaved copy
+                // of two adjacent channel planes, then pad patches.
+                let pb = plane_of(ci + 1);
+                for oy in (0..a.oy_lo).chain(a.oy_hi..oh) {
+                    dst[2 * oy * ow..2 * (oy + 1) * ow].fill(pad_centered);
+                }
+                if a.p_lo < a.p_hi {
+                    let src =
+                        (a.p_lo as isize + a.off) as usize..(a.p_hi as isize + a.off) as usize;
+                    let (sa, sb) = (&pa[src.clone()], &pb[src]);
+                    let d = &mut dst[2 * a.p_lo..2 * a.p_hi];
+                    interleave_centered(d, sa, sb, zp);
+                }
+                // Pad columns of every valid row (also covers the clamped
+                // span ends — those always fall in pad columns).
+                for oy in a.oy_lo..a.oy_hi {
+                    for ox in (0..a.ox_lo).chain(a.ox_hi..ow) {
+                        dst[2 * (oy * ow + ox)] = pad_centered;
+                        dst[2 * (oy * ow + ox) + 1] = pad_centered;
+                    }
+                }
+            } else {
+                // The second half is the next position's first channel.
+                let b = has_b.then(|| (shift(kpos + 1), plane_of(0)));
+                fill_split_pair(dst, &a, pa, b, zp, pad_centered, ow);
+            }
+            ci += 2;
+            if ci >= in_c && pair + 1 < pair_rows {
+                while ci >= in_c {
+                    ci -= in_c;
+                    kpos += 1;
+                }
+                a = shift(kpos);
+            }
+        }
+        return;
+    }
+
+    // General path: each half independently, stride-2 writes.
+    // Valid ox range of a kernel column kx.
     let ox_range = |kx: usize| -> (usize, usize) {
         let lo_num = geom.pad_w as isize - kx as isize;
         let lo = if lo_num > 0 {
@@ -332,96 +534,76 @@ pub fn fill_im2col_pairs_planar_pitched(
         .max(lo);
         (lo, hi)
     };
-
     for pair in 0..pair_rows {
         let e0 = 2 * pair;
-        let e1 = e0 + 1;
-        let (ky, rem) = (e0 / (geom.kernel_w * in_c), e0 % (geom.kernel_w * in_c));
-        let (kx, ci) = (rem / in_c, rem % in_c);
         let dst =
             &mut out[pair * 2 * lanes + 2 * lane0..pair * 2 * lanes + 2 * lane0 + 2 * positions];
-
-        let fused = e1 < patch && ci + 1 < in_c && sw == 1 && sh == 1 && ow == in_w;
-        if fused {
-            // Both halves share (ky, kx): one shifted interleaved copy of
-            // two adjacent channel planes, then pad patches at the edges.
-            let a = &planar[ci * plane_pitch..ci * plane_pitch + plane];
-            let b = &planar[(ci + 1) * plane_pitch..(ci + 1) * plane_pitch + plane];
-            let off = (ky as isize - geom.pad_h as isize) * in_w as isize + kx as isize
-                - geom.pad_w as isize;
-            let oy_lo = geom.pad_h.saturating_sub(ky).min(oh);
-            // Saturating: a kernel row entirely below the input (ky ≥
-            // in_h + pad_h) has no valid output rows at all.
-            let oy_hi = (in_h + geom.pad_h).saturating_sub(ky).min(oh).max(oy_lo);
+        for h in 0..2usize {
+            let e = e0 + h;
+            if e >= patch {
+                for p in 0..positions {
+                    dst[2 * p + h] = 0;
+                }
+                continue;
+            }
+            let (ky, rem) = (e / (geom.kernel_w * in_c), e % (geom.kernel_w * in_c));
+            let (kx, ci) = (rem / in_c, rem % in_c);
+            let src_plane = plane_of(ci);
             let (ox_lo, ox_hi) = ox_range(kx);
-            // Whole out-of-range rows are padding.
-            for oy in (0..oy_lo).chain(oy_hi..oh) {
-                dst[2 * oy * ow..2 * (oy + 1) * ow].fill(pad_centered);
-            }
-            // Main copy: clamp the span so p + off stays inside the plane;
-            // the clamped-off elements are pad columns, patched below.
-            let mut p_lo = oy_lo * ow;
-            let mut p_hi = oy_hi * ow;
-            if off < 0 {
-                p_lo = p_lo.max((-off) as usize);
-            } else {
-                p_hi = p_hi.min(plane.saturating_sub(off as usize));
-            }
-            if p_lo < p_hi {
-                let sa = &a[(p_lo as isize + off) as usize..(p_hi as isize + off) as usize];
-                let sb = &b[(p_lo as isize + off) as usize..(p_hi as isize + off) as usize];
-                let d = &mut dst[2 * p_lo..2 * p_hi];
-                for (k, d2) in d.chunks_exact_mut(2).enumerate() {
-                    d2[0] = sa[k] as i16 - zp;
-                    d2[1] = sb[k] as i16 - zp;
-                }
-            }
-            // Pad columns of every valid row (also covers the clamped span
-            // ends — those always fall in pad columns).
-            for oy in oy_lo..oy_hi {
-                for ox in (0..ox_lo).chain(ox_hi..ow) {
-                    dst[2 * (oy * ow + ox)] = pad_centered;
-                    dst[2 * (oy * ow + ox) + 1] = pad_centered;
-                }
-            }
-        } else {
-            // General path: each half independently, stride-2 writes.
-            for h in 0..2usize {
-                let e = e0 + h;
-                if e >= patch {
-                    for p in 0..positions {
-                        dst[2 * p + h] = 0;
+            let mut p = 0usize;
+            for oy in 0..oh {
+                let iy = (oy * sh) as isize + ky as isize - geom.pad_h as isize;
+                let row = &mut dst[2 * p..2 * (p + ow)];
+                p += ow;
+                if iy < 0 || iy >= in_h as isize {
+                    for ox in 0..ow {
+                        row[2 * ox + h] = pad_centered;
                     }
                     continue;
                 }
-                let (ky, rem) = (e / (geom.kernel_w * in_c), e % (geom.kernel_w * in_c));
-                let (kx, ci) = (rem / in_c, rem % in_c);
-                let src_plane = &planar[ci * plane_pitch..ci * plane_pitch + plane];
-                let (ox_lo, ox_hi) = ox_range(kx);
-                let mut p = 0usize;
-                for oy in 0..oh {
-                    let iy = (oy * sh) as isize + ky as isize - geom.pad_h as isize;
-                    let row = &mut dst[2 * p..2 * (p + ow)];
-                    p += ow;
-                    if iy < 0 || iy >= in_h as isize {
-                        for ox in 0..ow {
-                            row[2 * ox + h] = pad_centered;
-                        }
-                        continue;
-                    }
-                    for ox in (0..ox_lo).chain(ox_hi..ow) {
-                        row[2 * ox + h] = pad_centered;
-                    }
-                    let row_base = iy as usize * in_w;
-                    let mut src = row_base + ox_lo * sw + kx - geom.pad_w;
-                    for ox in ox_lo..ox_hi {
-                        row[2 * ox + h] = src_plane[src] as i16 - zp;
-                        src += sw;
-                    }
+                for ox in (0..ox_lo).chain(ox_hi..ow) {
+                    row[2 * ox + h] = pad_centered;
+                }
+                if ox_lo == ox_hi {
+                    continue;
+                }
+                let row_base = iy as usize * in_w;
+                let mut src = row_base + ox_lo * sw + kx - geom.pad_w;
+                for ox in ox_lo..ox_hi {
+                    row[2 * ox + h] = src_plane[src] as i16 - zp;
+                    src += sw;
                 }
             }
         }
     }
+}
+
+/// [`fill_im2col_pairs_planar_pitched`] for one **NHWC** image: copy it
+/// into channel planes (`planes`, caller scratch of at least
+/// `in_c · in_h · in_w` bytes), then fill from those. The copy costs one
+/// pass over the input bytes; filling from planes makes every half pair
+/// row a contiguous shifted run instead of a stride-`in_c` gather.
+#[allow(clippy::too_many_arguments)]
+pub fn fill_im2col_pairs_nhwc(
+    input_hwc: &[i8],
+    geom: &ConvGeometry,
+    zp: i16,
+    pad_centered: i16,
+    out: &mut [i16],
+    lanes: usize,
+    lane0: usize,
+    planes: &mut [i8],
+) {
+    let plane = geom.in_h * geom.in_w;
+    let in_c = geom.in_c;
+    assert_eq!(input_hwc.len(), plane * in_c, "input size mismatch");
+    let planes = &mut planes[..plane * in_c];
+    for (ci, dst) in planes.chunks_exact_mut(plane).enumerate() {
+        for (d, px) in dst.iter_mut().zip(input_hwc.chunks_exact(in_c)) {
+            *d = px[ci];
+        }
+    }
+    fill_im2col_pairs_planar_pitched(planes, geom, zp, pad_centered, out, lanes, lane0, plane);
 }
 
 /// Interleave transposed column rows into the **pair-row** layout of the
@@ -712,126 +894,178 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    #[test]
-    fn fused_pair_fill_matches_two_pass_reference() {
-        // Geometries covering the fused fast path (stride 1, ow == in_w,
-        // even channels), odd channels, strides, valid padding, 1×1.
-        let geoms = [
-            ConvGeometry {
-                in_h: 6,
-                in_w: 6,
-                in_c: 4,
-                out_c: 2,
-                kernel_h: 3,
-                kernel_w: 3,
-                pad_h: 1,
-                pad_w: 1,
-                stride_h: 1,
-                stride_w: 1,
-            },
-            ConvGeometry {
-                in_h: 5,
-                in_w: 7,
-                in_c: 3,
-                out_c: 2,
-                kernel_h: 3,
-                kernel_w: 3,
-                pad_h: 1,
-                pad_w: 1,
-                stride_h: 1,
-                stride_w: 1,
-            },
-            ConvGeometry {
-                in_h: 7,
-                in_w: 6,
-                in_c: 2,
-                out_c: 2,
-                kernel_h: 3,
-                kernel_w: 3,
-                pad_h: 1,
-                pad_w: 1,
-                stride_h: 2,
-                stride_w: 2,
-            },
-            ConvGeometry {
-                in_h: 6,
-                in_w: 6,
-                in_c: 2,
-                out_c: 2,
-                kernel_h: 3,
-                kernel_w: 3,
-                pad_h: 0,
-                pad_w: 0,
-                stride_h: 1,
-                stride_w: 1,
-            },
-            ConvGeometry {
-                in_h: 4,
-                in_w: 4,
-                in_c: 5,
-                out_c: 2,
-                kernel_h: 1,
-                kernel_w: 1,
-                pad_h: 0,
-                pad_w: 0,
-                stride_h: 1,
-                stride_w: 1,
-            },
-            ConvGeometry {
-                in_h: 4,
-                in_w: 4,
-                in_c: 1,
-                out_c: 1,
-                kernel_h: 5,
-                kernel_w: 5,
-                pad_h: 2,
-                pad_w: 2,
-                stride_h: 1,
-                stride_w: 1,
-            },
-            // Kernel taller than the padded input: bottom kernel rows have
-            // no valid output rows (regression: oy_hi/p_hi underflow).
-            ConvGeometry {
-                in_h: 1,
-                in_w: 5,
-                in_c: 2,
-                out_c: 1,
-                kernel_h: 5,
-                kernel_w: 5,
-                pad_h: 2,
-                pad_w: 2,
-                stride_h: 1,
-                stride_w: 1,
-            },
-        ];
-        for (g, geom) in geoms.iter().enumerate() {
-            let plane = geom.in_h * geom.in_w;
-            let positions = geom.out_positions();
-            let patch = geom.patch_len();
-            let pair_rows = patch.div_ceil(2);
-            // Pitched planar source (pitch of 2 planes, batch-like).
-            let pitch = 2 * plane;
-            let mut planar = vec![0i8; (geom.in_c - 1) * pitch + plane];
-            for (i, v) in planar.iter_mut().enumerate() {
-                *v = (i as i8).wrapping_mul(7);
-            }
-            let zp = -5i16;
-            let pad = 3i16;
-            // Reference: natural pitched fill + interleave, at a lane offset.
-            let lanes = positions + 4;
-            let lane0 = 2usize;
-            let mut rows = vec![0i16; positions * patch];
-            fill_im2col_centered_t_planar_pitched(&planar, geom, zp, pad, &mut rows, pitch);
-            let mut want = vec![0i16; pair_rows * 2 * lanes];
-            interleave_pair_rows(&rows, positions, patch, &mut want, lanes, lane0);
-            let mut got = vec![0i16; pair_rows * 2 * lanes];
-            fill_im2col_pairs_planar_pitched(&planar, geom, zp, pad, &mut got, lanes, lane0, pitch);
-            for i in 0..pair_rows {
-                let w = &want[i * 2 * lanes + 2 * lane0..i * 2 * lanes + 2 * (lane0 + positions)];
-                let o = &got[i * 2 * lanes + 2 * lane0..i * 2 * lanes + 2 * (lane0 + positions)];
-                assert_eq!(o, w, "geom {g} pair row {i}");
+    #[allow(clippy::too_many_arguments)]
+    fn conv_geom(
+        in_h: usize,
+        in_w: usize,
+        in_c: usize,
+        (kernel_h, kernel_w): (usize, usize),
+        (pad_h, pad_w): (usize, usize),
+        (stride_h, stride_w): (usize, usize),
+    ) -> ConvGeometry {
+        ConvGeometry {
+            in_h,
+            in_w,
+            in_c,
+            out_c: 1,
+            kernel_h,
+            kernel_w,
+            pad_h,
+            pad_w,
+            stride_h,
+            stride_w,
+        }
+    }
+
+    /// SplitMix64 step: a dependency-free seeded stream for the sweeps.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Check both fused pair fills (planar pitched and NHWC) of one random
+    /// image against the two-pass reference (natural transposed rows, then
+    /// [`interleave_pair_rows`]), over the whole lane-offset destination:
+    /// lanes outside the image's window must stay untouched.
+    fn check_pair_fills(geom: &ConvGeometry, rng: &mut u64, ctx: &str) {
+        let plane = geom.in_h * geom.in_w;
+        let positions = geom.out_positions();
+        let patch = geom.patch_len();
+        let pair_rows = patch.div_ceil(2);
+        let nhwc: Vec<i8> = (0..plane * geom.in_c)
+            .map(|_| splitmix(rng) as i8)
+            .collect();
+        // Pitched planes with junk in the gaps (batch-like source).
+        let pitch = 2 * plane + 1;
+        let mut planar = vec![0x55i8; (geom.in_c - 1) * pitch + plane];
+        for pix in 0..plane {
+            for ci in 0..geom.in_c {
+                planar[ci * pitch + pix] = nhwc[pix * geom.in_c + ci];
             }
         }
+        let zp = (splitmix(rng) % 256) as i16 - 128;
+        let pad = 3i16;
+        let lanes = positions + 5;
+        let lane0 = 3usize;
+        const UNTOUCHED: i16 = -7777;
+
+        let mut rows = vec![0i16; positions * patch];
+        fill_im2col_centered_t(&nhwc, geom, zp, pad, &mut rows);
+        let mut rows_planar = vec![0i16; positions * patch];
+        fill_im2col_centered_t_planar_pitched(&planar, geom, zp, pad, &mut rows_planar, pitch);
+        assert_eq!(rows_planar, rows, "{ctx}: reference fills disagree");
+        let mut want = vec![UNTOUCHED; pair_rows * 2 * lanes];
+        interleave_pair_rows(&rows, positions, patch, &mut want, lanes, lane0);
+
+        let mut from_planar = vec![UNTOUCHED; want.len()];
+        fill_im2col_pairs_planar_pitched(
+            &planar,
+            geom,
+            zp,
+            pad,
+            &mut from_planar,
+            lanes,
+            lane0,
+            pitch,
+        );
+        let mut from_nhwc = vec![UNTOUCHED; want.len()];
+        let mut planes = vec![0x55i8; plane * geom.in_c + 3];
+        fill_im2col_pairs_nhwc(
+            &nhwc,
+            geom,
+            zp,
+            pad,
+            &mut from_nhwc,
+            lanes,
+            lane0,
+            &mut planes,
+        );
+        for (entry, got) in [("planar", &from_planar), ("nhwc", &from_nhwc)] {
+            if let Some(i) = got.iter().zip(&want).position(|(g, w)| g != w) {
+                panic!(
+                    "{ctx} {geom:?}: {entry} fill differs at pair row {}, lane {}, half {}: \
+                     got {}, want {}",
+                    i / (2 * lanes),
+                    (i % (2 * lanes)) / 2,
+                    i % 2,
+                    got[i],
+                    want[i]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fused_pair_fill_matches_two_pass_reference() {
+        // Direct cases, one per fill path. `ow == in_w` with stride 1 takes
+        // the shifted fast path: even channel counts give same-position
+        // pairs only; odd ones add cross-position pairs (a position's last
+        // channel with the next one's first), and an odd patch adds the
+        // lone final half-pair.
+        let direct = [
+            // Same-position pairs only, even patch.
+            conv_geom(6, 6, 4, (3, 3), (1, 1), (1, 1)),
+            // Conv-0 shape of the zoo models: cross pairs + odd tail.
+            conv_geom(32, 32, 3, (3, 3), (1, 1), (1, 1)),
+            conv_geom(5, 7, 3, (3, 3), (1, 1), (1, 1)),
+            // One channel: every pair crosses positions; odd tail.
+            conv_geom(4, 4, 1, (5, 5), (2, 2), (1, 1)),
+            // 1×1 kernel: same-position pairs, then the odd tail.
+            conv_geom(4, 4, 5, (1, 1), (0, 0), (1, 1)),
+            // Cross pairs stepping across a wide kernel row.
+            conv_geom(3, 9, 5, (3, 5), (1, 2), (1, 1)),
+            // Padding rows above and below a 1-tall kernel (oh > in_h).
+            conv_geom(3, 4, 3, (1, 3), (2, 1), (1, 1)),
+            // Kernel taller than the padded input: bottom kernel rows have
+            // no valid output rows (regression: oy_hi/p_hi underflow, and
+            // an out-of-bounds shifted read when a whole kernel row fell
+            // outside a one-row input), same-position and cross pairs.
+            conv_geom(1, 5, 2, (5, 5), (2, 2), (1, 1)),
+            conv_geom(1, 5, 3, (5, 5), (2, 2), (1, 1)),
+            // General per-half path: strides and `ow != in_w`.
+            conv_geom(7, 6, 2, (3, 3), (1, 1), (2, 2)),
+            conv_geom(7, 6, 3, (3, 3), (1, 1), (2, 1)),
+            conv_geom(6, 6, 2, (3, 3), (0, 0), (1, 1)),
+        ];
+        let mut rng = 0x1f2e_3d4c_u64;
+        for (g, geom) in direct.iter().enumerate() {
+            check_pair_fills(geom, &mut rng, &format!("direct {g}"));
+        }
+
+        // Seeded sweep: in_c 1–5, kernel 1–5 per axis, pad 0–2, stride
+        // 1–2, input 1–9 per axis. Every other draw is forced onto the
+        // shifted path (stride 1, odd kernel width, same padding).
+        let (mut shifted, mut cross, mut odd) = (0, 0, 0);
+        let mut g = 0;
+        while g < 3000 {
+            let mut draw = |lo: u64, hi: u64| (lo + splitmix(&mut rng) % (hi - lo + 1)) as usize;
+            let (in_c, in_h, in_w) = (draw(1, 5), draw(1, 9), draw(1, 9));
+            let (kh, ph, sh) = (draw(1, 5), draw(0, 2), draw(1, 2));
+            let (kw, pw, sw) = if g % 2 == 0 {
+                let kw = 2 * draw(0, 2) + 1;
+                (kw, kw / 2, 1)
+            } else {
+                (draw(1, 5), draw(0, 2), draw(1, 2))
+            };
+            if in_h + 2 * ph < kh || in_w + 2 * pw < kw {
+                continue;
+            }
+            let geom = conv_geom(in_h, in_w, in_c, (kh, kw), (ph, pw), (sh, sw));
+            if sh == 1 && sw == 1 && geom.out_w() == in_w {
+                shifted += 1;
+                cross += usize::from(in_c % 2 == 1 && geom.patch_len() > 1);
+                odd += geom.patch_len() % 2;
+            }
+            check_pair_fills(&geom, &mut rng, &format!("sweep {g}"));
+            g += 1;
+        }
+        assert!(
+            shifted > 500 && cross > 200 && odd > 200,
+            "sweep coverage: {shifted} shifted, {cross} with cross pairs, {odd} odd"
+        );
     }
 
     #[test]
